@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from repro.core import MatchOnlyFilterBank
+from repro.core import CompiledFilterBank
 from repro.workloads import (
     shared_prefix_feed,
     shared_prefix_subscriptions,
@@ -79,8 +79,8 @@ def _document():
                               suffix_depth=SUFFIX_DEPTH, seed=43)
 
 
-def _build_warm_bank(size: int) -> MatchOnlyFilterBank:
-    bank = MatchOnlyFilterBank()
+def _build_warm_bank(size: int) -> CompiledFilterBank:
+    bank = CompiledFilterBank(stats=False)
     for index, text in enumerate(_warm_subscriptions(size)):
         bank.register(f"warm{index}", parse_query(text))
     bank.trie_size()  # materialize the trie so churn ops run against a live trie
@@ -134,7 +134,7 @@ def test_churned_bank_matches_fresh_rebuilds(size):
     bank = _build_warm_bank(size)
     for op in _operations():
         _apply(bank, op)
-    fresh = MatchOnlyFilterBank()
+    fresh = CompiledFilterBank(stats=False)
     for name in bank.subscriptions():
         fresh.register(name, bank.query(name))
     assert bank.trie_size() == fresh.trie_size()

@@ -2,7 +2,7 @@
 
 Five engines serve the same subscriptions over the same document streams:
 
-* ``fast``     — :class:`~repro.core.MatchOnlyFilterBank`: the compiled trie engine's
+* ``fast``     — ``CompiledFilterBank(stats=False)``: the compiled trie engine's
   match-only fast path (no statistics, no frontier records for path-shaped plans,
   early retirement of decided subscriptions) — PR 3;
 * ``sharded``  — :class:`~repro.core.ShardedFilterBank`: the match-only engine
@@ -51,7 +51,6 @@ from repro.baselines import NaiveFilterBank
 from repro.core import (
     CompiledFilterBank,
     FilterBank,
-    MatchOnlyFilterBank,
     ShardedFilterBank,
 )
 from repro.workloads import (
@@ -89,7 +88,7 @@ CORES = os.cpu_count() or 1
 SHARDS = min(CORES, 4)
 
 _BANKS = {
-    "fast": MatchOnlyFilterBank,
+    "fast": lambda: CompiledFilterBank(stats=False),
     "sharded": lambda: ShardedFilterBank(SHARDS, stats=False),
     "compiled": CompiledFilterBank,
     "indexed": FilterBank,

@@ -26,7 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from repro import FilterBank, parse_query
 from repro.baselines import NaiveFilterBank
-from repro.core import CompiledFilterBank, MatchOnlyFilterBank, ShardedFilterBank
+from repro.core import CompiledFilterBank, ShardedFilterBank
 from repro.workloads import (
     book_catalog,
     dissemination_queries,
@@ -110,7 +110,7 @@ def main() -> None:
           f"({matched} subscriptions matched)")
 
     # 5. the match-only fast path (PR 3): same matches, no statistics machinery -------
-    fast = MatchOnlyFilterBank()
+    fast = CompiledFilterBank(stats=False)
     for index, text in enumerate(shared_prefix_subscriptions(1000, seed=3)):
         fast.register(f"sub{index}", parse_query(text))
     fast.filter_events(iter(feed_events))  # warm up (builds the trie)

@@ -26,10 +26,14 @@ it computes, per element event, the set of trie nodes whose step path matches th
 element (a superset of the per-query candidate matches, which additionally depend on
 per-query ``matched`` pruning) — and it needs no level arithmetic at all:
 
-* a *level-checked* step instance is stored in the stack frame of the element whose
-  candidate match created it, so it can only fire for that element's direct children;
-* a *descendant* step instance is registered in a global count map and unregistered
-  when its spawning element's frame is popped, so it fires anywhere in the subtree.
+* an element's stack frame is the list of trie nodes that fired at it; a child start
+  probes exactly those nodes' level-checked edges (``child_map`` by name, plus the
+  ``*`` or ``@*`` edge), so a level-checked step can only fire for direct children;
+* a *descendant* step is made live in a global name-keyed map when its parent node
+  fires, and removed when that element ends, so it fires anywhere in the subtree.
+
+No per-element dispatch table is built and nothing survives the document: the trie is
+the only structure shared between documents, and it depends on subscriptions only.
 
 Per-query state is touched only when a trie node fires for one of the query's slots
 (or when text must be buffered, or children resolved at an end event — both of which
@@ -59,12 +63,12 @@ subscription churn O(query size) rather than O(total registered steps).
 :meth:`CompiledFilterBank.rebuild_trie` forces the old from-scratch rebuild — the
 churn benchmark's baseline and the equivalence oracle of the property tests.
 
-**The match-only fast path.**  ``CompiledFilterBank(stats=False)`` (alias
-:class:`MatchOnlyFilterBank`) runs a reduced per-query state machine that tracks only
-the ``matched`` bits the Boolean outcome depends on: no ``FilterStatistics``, no
-peak-frontier/peak-bits/high-water bookkeeping, no frontier-scan-order replay, and
-per-document runtime state is initialized lazily at a runtime's first fire point, so
-untouched subscriptions cost nothing per document.  Because a ``matched`` flag only
+**The match-only fast path.**  ``CompiledFilterBank(stats=False)`` runs a reduced
+per-query state machine that tracks only the ``matched`` bits the Boolean outcome
+depends on: no ``FilterStatistics``, no peak-frontier/peak-bits/high-water
+bookkeeping, no frontier-scan-order replay, and per-document runtime state is
+initialized lazily at a runtime's first fire point, so untouched subscriptions cost
+nothing per document.  Because a ``matched`` flag only
 accumulates with OR, a decided outcome is final and the fast path always retires a
 runtime mid-document once its outcome is known.  The stats-accurate path is untouched
 and stays byte-identical to the interpreted engines.
@@ -255,21 +259,21 @@ def compile_query(query: Query, names: Optional[Dict[str, int]] = None) -> Compi
 class _TrieNode:
     """One shared step of the prefix trie.
 
-    ``child_*`` edges are level-checked steps (``child`` and ``attribute`` axes merge:
-    their structural fire condition is identical); ``desc_*`` edges are descendant
-    steps.  Wildcard edges are kept apart from concrete ones because ``*`` matches any
-    element name and ``@*`` any attribute name.  ``subs`` lists the ``(runtime, slot)``
-    pairs mapped onto this trie node.
+    ``child_map`` holds the level-checked steps (``child`` and ``attribute`` axes
+    merge: their structural fire condition is identical) and ``desc_map`` the
+    descendant steps, both keyed by node test.  ``child_wild``/``child_attr_wild``
+    cache the ``*``/``@*`` entries of ``child_map`` (the runtime walk probes them at
+    every child) and ``desc_edges`` lists the descendant edges as ``(kind, ntest,
+    node)``.  ``subs`` lists the ``(runtime, slot)`` pairs mapped onto this trie node.
     """
 
     __slots__ = ("child_map", "desc_map", "subs",
-                 "child_concrete", "child_wild", "child_attr_wild", "desc_edges")
+                 "child_wild", "child_attr_wild", "desc_edges")
 
     def __init__(self) -> None:
         self.child_map: Dict[str, _TrieNode] = {}
         self.desc_map: Dict[str, _TrieNode] = {}
         self.subs: List[tuple] = []
-        self.child_concrete: List[tuple] = []
         self.child_wild: Optional[_TrieNode] = None
         self.child_attr_wild: Optional[_TrieNode] = None
         self.desc_edges: List[tuple] = []
@@ -282,9 +286,7 @@ class _TrieNode:
         return node
 
     def finalize(self) -> None:
-        """Precompute the edge lists the runtime frame builder iterates."""
-        self.child_concrete = [(ntest, node) for ntest, node in self.child_map.items()
-                               if ntest not in ("*", "@*")]
+        """Precompute the wildcard slots and descendant edges the runtime walk reads."""
         self.child_wild = self.child_map.get("*")
         self.child_attr_wild = self.child_map.get("@*")
         # (kind, ntest, node): kind 0 = concrete name bucket, 1 = ``*``, 2 = ``@*``
@@ -375,56 +377,29 @@ def _slice_from(runtime: _Runtime, start: int) -> str:
     return _slice_parts(runtime.buf_parts, start)
 
 
-def _build_frame(fired: List[_TrieNode], desc_by_name: Dict[str, dict],
-                 desc_wild: dict, desc_attr_wild: dict) -> Optional[tuple]:
-    """Build one element frame from the trie nodes that fired at its start event.
+def _open_scopes(node: _TrieNode, desc_by_name: Dict[str, dict], desc_wild: dict,
+                 desc_attr_wild: dict, added: List[tuple]) -> None:
+    """Make the descendant edges of a fired trie node live.
 
-    Shared by the stats-accurate and match-only hot loops: collects the fired
-    nodes' level-checked edges into the frame's dispatch buckets and registers
-    their descendant edges in the global count maps, returning the ``(expect,
-    wild, attr_wild, desc_added)`` tuple (or ``None`` when nothing is expected,
-    so the end handler can skip the frame entirely).
+    Shared by both hot loops: each edge's target joins its live map (a concrete
+    name bucket, ``*`` or ``@*``), and the ``(bucket, node)`` pair is logged in
+    ``added`` so closing the element that fired ``node`` removes it again.  A
+    target that is already live is skipped without logging: an enclosing element
+    registered it, and elements close innermost first, so that registration
+    outlives this element anyway.
     """
-    expect = None
-    wild = None
-    attr_wild = None
-    desc_added = None
-    for node in fired:
-        if node.child_concrete:
-            if expect is None:
-                expect = {}
-            for ntest, child in node.child_concrete:
-                bucket = expect.get(ntest)
-                if bucket is None:
-                    expect[ntest] = [child]
-                else:
-                    bucket.append(child)
-        if node.child_wild is not None:
-            if wild is None:
-                wild = []
-            wild.append(node.child_wild)
-        if node.child_attr_wild is not None:
-            if attr_wild is None:
-                attr_wild = []
-            attr_wild.append(node.child_attr_wild)
-        if node.desc_edges:
-            if desc_added is None:
-                desc_added = []
-            for kind, ntest, child in node.desc_edges:
-                if kind == 0:
-                    bucket = desc_by_name.get(ntest)
-                    if bucket is None:
-                        bucket = desc_by_name[ntest] = {}
-                elif kind == 1:
-                    bucket = desc_wild
-                else:
-                    bucket = desc_attr_wild
-                bucket[child] = bucket.get(child, 0) + 1
-                desc_added.append((bucket, child))
-    if expect is None and wild is None and attr_wild is None \
-            and desc_added is None:
-        return None
-    return (expect, wild, attr_wild, desc_added)
+    for kind, ntest, child in node.desc_edges:
+        if kind == 0:
+            bucket = desc_by_name.get(ntest)
+            if bucket is None:
+                bucket = desc_by_name[ntest] = {}
+        elif kind == 1:
+            bucket = desc_wild
+        else:
+            bucket = desc_attr_wild
+        if child not in bucket:
+            bucket[child] = None
+            added.append((bucket, child))
 
 
 def event_tokens(events: Iterable[Event]) -> Iterator[Token]:
@@ -613,8 +588,6 @@ class CompiledFilterBank:
                         parent_trie.child_wild = node
                     elif ntest == "@*":
                         parent_trie.child_attr_wild = node
-                    else:
-                        parent_trie.child_concrete.append((ntest, node))
                 else:
                     kind = 1 if ntest == "*" else 2 if ntest == "@*" else 0
                     parent_trie.desc_edges.append((kind, ntest, node))
@@ -653,8 +626,6 @@ class CompiledFilterBank:
                         parent_trie.child_wild = None
                     elif ntest == "@*":
                         parent_trie.child_attr_wild = None
-                    else:
-                        parent_trie.child_concrete.remove((ntest, node))
             else:
                 if parent_trie.desc_map.get(ntest) is node:
                     del parent_trie.desc_map[ntest]
@@ -823,24 +794,21 @@ class CompiledFilterBank:
         max_level = 0
         events_seen = 0
         high_water = _LevelHighWater()
-        in_document = False
-        saw_end = False
         completed = False
 
         text_open: Dict[_Runtime, bool] = {}  # runtimes with an open value buffer
         resolvers: Dict[int, set] = {}  # post-event level -> runtimes to resolve there
 
-        # structural trie state: one frame per open element (plus the document frame);
-        # a frame is None (nothing fired at that element) or a tuple
-        # (expect, wild, attr_wild, desc_added) where expect maps a node test to the
-        # level-checked trie nodes expecting it among the element's direct children
-        frames: List[Optional[tuple]] = []
-        desc_by_name: Dict[str, dict] = {}  # ntest -> {trie node: live count}
-        desc_wild: dict = {}  # live descendant ``*`` instances
-        desc_attr_wild: dict = {}  # live descendant ``@*`` instances
-
-        def build_frame(fired: List[_TrieNode]) -> Optional[tuple]:
-            return _build_frame(fired, desc_by_name, desc_wild, desc_attr_wild)
+        # structural trie state, one entry per open element plus the document frame.
+        # ``frames`` holds the trie nodes that fired at the element (None if none):
+        # a child start probes exactly those nodes' level-checked edges.  ``scopes``
+        # holds the (bucket, node) descendant registrations the element's fires
+        # added (None if none), removed again when the element ends.
+        frames: List[Optional[List[_TrieNode]]] = []
+        scopes: List[Optional[List[tuple]]] = []
+        desc_by_name: Dict[str, dict] = {}  # ntest -> live descendant trie nodes
+        desc_wild: dict = {}  # live descendant ``*`` nodes
+        desc_attr_wild: dict = {}  # live descendant ``@*`` nodes
 
         def observe_bits(runtime: _Runtime, observed_level: int) -> None:
             # the Theorem 8.8 bit cost of the runtime's live state at the given level
@@ -1069,56 +1037,85 @@ class CompiledFilterBank:
             return True
 
         try:
+            first = next(tokens, None)
+            if first is None or first[0] != TOK_START_DOC:
+                raise ValueError("event stream did not start with a startDocument event")
+            events_seen = 1
+            # the document frame is never popped: its registrations need no log
+            _open_scopes(trie_root, desc_by_name, desc_wild, desc_attr_wild, [])
+            frames.append([trie_root])
+            scopes.append(None)
+            for runtime in runtimes:
+                start_document(runtime)
+            level = 1
+            high_water.push(events_seen, level)
             for token in tokens:
                 events_seen += 1
                 kind = token[0]
                 if kind == TOK_START:
                     name = token[1]
-                    # --- structural fire detection (shared across all queries)
-                    fired = None
-                    top = frames[-1] if frames else None
-                    if top is not None:
-                        expect = top[0]
-                        if expect is not None:
-                            hit = expect.get(name)
-                            if hit:
-                                fired = list(hit)
-                        if name[:1] != "@":
-                            if top[1]:
-                                fired = top[1] if fired is None else fired + top[1]
-                        elif top[2]:
-                            fired = top[2] if fired is None else fired + top[2]
+                    # --- structural fire detection (shared across all queries): probe
+                    # the nodes that fired at the parent, then the live descendant
+                    # scopes; an element literally named "*" (or "@*") matches only
+                    # wildcard edges
+                    fired = []
+                    parents = frames[-1]
+                    if name[:1] != "@":
+                        if parents is not None:
+                            key = name if name != "*" else ""  # no node test is empty
+                            for node in parents:
+                                child = node.child_map.get(key)
+                                if child is not None:
+                                    fired.append(child)
+                                if node.child_wild is not None:
+                                    fired.append(node.child_wild)
+                        if desc_wild:
+                            fired.extend(desc_wild)
+                    else:
+                        if parents is not None:
+                            key = name if name != "@*" else ""
+                            for node in parents:
+                                child = node.child_map.get(key)
+                                if child is not None:
+                                    fired.append(child)
+                                if node.child_attr_wild is not None:
+                                    fired.append(node.child_attr_wild)
+                        if desc_attr_wild:
+                            fired.extend(desc_attr_wild)
                     bucket = desc_by_name.get(name)
                     if bucket:
-                        nodes = list(bucket)
-                        fired = nodes if fired is None else fired + nodes
-                    if name[:1] != "@":
-                        if desc_wild:
-                            nodes = list(desc_wild)
-                            fired = nodes if fired is None else fired + nodes
-                    elif desc_attr_wild:
-                        nodes = list(desc_attr_wild)
-                        fired = nodes if fired is None else fired + nodes
-                    # --- per-query fan-out, only at fire points
+                        fired.extend(bucket)
                     if fired:
+                        # --- per-query fan-out and the element's frame, one pass
                         touched: Dict[_Runtime, List[int]] = {}
+                        added = None
                         for node in fired:
-                            for runtime, slot in node.subs:
-                                slots = touched.get(runtime)
-                                if slots is None:
-                                    touched[runtime] = [slot]
-                                else:
-                                    slots.append(slot)
+                            if node.subs:
+                                for runtime, slot in node.subs:
+                                    slots = touched.get(runtime)
+                                    if slots is None:
+                                        touched[runtime] = [slot]
+                                    else:
+                                        slots.append(slot)
+                            if node.desc_edges:
+                                if added is None:
+                                    added = []
+                                _open_scopes(node, desc_by_name, desc_wild,
+                                             desc_attr_wild, added)
                         for runtime, slots in touched.items():
                             if runtime not in decided:
                                 process_start(runtime, slots)
-                        frames.append(build_frame(fired))
+                        frames.append(fired)
+                        scopes.append(added)
                     else:
                         frames.append(None)
+                        scopes.append(None)
                     level += 1
                     if level > max_level:
                         max_level = level
                 elif kind == TOK_END:
+                    if len(frames) == 1:
+                        raise ValueError(f"end tag </{token[1]}> with no open element")
                     post_level = level - 1
                     waiting = resolvers.pop(post_level, None)
                     if waiting:
@@ -1129,15 +1126,11 @@ class CompiledFilterBank:
                             if early_unregister and outcome_known(runtime):
                                 decided.add(runtime)
                                 outcomes[runtime] = True
-                    if len(frames) > 1:
-                        frame = frames.pop()
-                        if frame is not None and frame[3] is not None:
-                            for bucket, node in frame[3]:
-                                count = bucket[node] - 1
-                                if count:
-                                    bucket[node] = count
-                                else:
-                                    del bucket[node]
+                    frames.pop()
+                    added = scopes.pop()
+                    if added is not None:
+                        for bucket, node in added:
+                            del bucket[node]
                     level = post_level
                 elif kind == TOK_TEXT:
                     if text_open:
@@ -1149,25 +1142,9 @@ class CompiledFilterBank:
                             runtime.buf_parts.append(token)
                             runtime.buf_size += length
                             observe(runtime, level)
-                elif kind == TOK_START_DOC:
-                    in_document = True
-                    level = 0
-                    max_level = 0
-                    events_seen = 1
-                    high_water = _LevelHighWater()
-                    decided.clear()
-                    text_open.clear()
-                    resolvers.clear()
-                    desc_by_name.clear()
-                    desc_wild.clear()
-                    desc_attr_wild.clear()
-                    del frames[:]
-                    frames.append(build_frame([trie_root]))
-                    for runtime in runtimes:
-                        outcomes[runtime] = None
-                        start_document(runtime)
-                    level = 1
                 elif kind == TOK_END_DOC:
+                    if len(frames) != 1:
+                        raise ValueError("endDocument event with elements still open")
                     post_level = level - 1
                     for runtime in runtimes:
                         if runtime in decided:
@@ -1179,19 +1156,21 @@ class CompiledFilterBank:
                         outcomes[runtime] = (root_rec[1] if root_rec is not None
                                              else False)
                         observe(runtime, post_level)
-                    level = post_level
-                    in_document = False
-                    saw_end = True
+                    break
+                elif kind == TOK_START_DOC:
+                    raise ValueError("a second startDocument event in one document")
                 else:  # pragma: no cover - defensive
                     raise TypeError(f"unknown token {token!r}")
                 high_water.push(events_seen, level)
-            if not saw_end or in_document:
+            else:
                 raise ValueError("event stream did not contain an endDocument event")
+            for _token in tokens:
+                raise ValueError("event stream continued after its endDocument event")
             completed = True
         finally:
             if not completed:
-                # never leave runtimes mid-document: a truncated stream must not
-                # corrupt the next filtering call
+                # never leave runtimes mid-document: a truncated or malformed stream
+                # must not corrupt the next filtering call
                 for runtime in runtimes:
                     runtime.reset()
 
@@ -1222,8 +1201,10 @@ class CompiledFilterBank:
     def _run_fast(self, tokens: Iterator[Token]) -> BankResult:
         """The match-only hot loop: ``matched`` bits only, no statistics.
 
-        Structural trie dispatch is identical to :meth:`_run`; the per-runtime state
-        machine is reduced to what the Boolean outcome depends on, in two tiers:
+        The structural walk is identical to :meth:`_run` (a frame is the list of trie
+        nodes that fired at the element; children probe those nodes' edges, and live
+        descendant steps sit in name-keyed maps); the per-runtime state machine is
+        reduced to what the Boolean outcome depends on, in two tiers:
 
         * **Path plans** (pure chains — the overwhelmingly common pub/sub shape) keep
           *no frontier records at all*.  Only the chain leaf carries subscription
@@ -1247,11 +1228,8 @@ class CompiledFilterBank:
         whose outcome becomes known mid-document is retired immediately.
         """
         trie_root = self._trie()
-        level = 0
-        in_document = False
-        saw_end = False
         completed = False
-        gen = self._generation  # bumped at each startDocument below
+        gen = self._generation  # bumped at the startDocument below
 
         touched: List[_Runtime] = []  # record-plan runtimes initialized this document
         text_open: set = set()  # record-plan runtimes with an open value buffer
@@ -1265,13 +1243,12 @@ class CompiledFilterBank:
         val_open = 0  # number of open contexts (gates text buffering)
         val_contexts: Dict[int, list] = {}  # close level -> [(start, entries)]
 
-        frames: List[Optional[tuple]] = []
+        # structural trie state, exactly as in _run
+        frames: List[Optional[List[_TrieNode]]] = []
+        scopes: List[Optional[List[tuple]]] = []
         desc_by_name: Dict[str, dict] = {}
         desc_wild: dict = {}
         desc_attr_wild: dict = {}
-
-        def build_frame(fired: List[_TrieNode]) -> Optional[tuple]:
-            return _build_frame(fired, desc_by_name, desc_wild, desc_attr_wild)
 
         def fast_start(runtime: _Runtime) -> None:
             # lazy per-document initialization, run at the runtime's first fire point
@@ -1449,68 +1426,88 @@ class CompiledFilterBank:
             text_open.discard(runtime)
 
         try:
+            first = next(tokens, None)
+            if first is None or first[0] != TOK_START_DOC:
+                raise ValueError("event stream did not start with a startDocument event")
+            self._generation += 1
+            gen = self._generation
+            # the document frame is never popped: its registrations need no log
+            _open_scopes(trie_root, desc_by_name, desc_wild, desc_attr_wild, [])
+            frames.append([trie_root])
+            scopes.append(None)
+            level = 1
             for token in tokens:
                 kind = token[0]
                 if kind == TOK_START:
                     name = token[1]
-                    fired = None
-                    top = frames[-1] if frames else None
-                    if top is not None:
-                        expect = top[0]
-                        if expect is not None:
-                            hit = expect.get(name)
-                            if hit:
-                                fired = list(hit)
-                        if name[:1] != "@":
-                            if top[1]:
-                                fired = top[1] if fired is None else fired + top[1]
-                        elif top[2]:
-                            fired = top[2] if fired is None else fired + top[2]
+                    fired = []
+                    parents = frames[-1]
+                    if name[:1] != "@":
+                        if parents is not None:
+                            key = name if name != "*" else ""  # no node test is empty
+                            for node in parents:
+                                child = node.child_map.get(key)
+                                if child is not None:
+                                    fired.append(child)
+                                if node.child_wild is not None:
+                                    fired.append(node.child_wild)
+                        if desc_wild:
+                            fired.extend(desc_wild)
+                    else:
+                        if parents is not None:
+                            key = name if name != "@*" else ""
+                            for node in parents:
+                                child = node.child_map.get(key)
+                                if child is not None:
+                                    fired.append(child)
+                                if node.child_attr_wild is not None:
+                                    fired.append(node.child_attr_wild)
+                        if desc_attr_wild:
+                            fired.extend(desc_attr_wild)
                     bucket = desc_by_name.get(name)
                     if bucket:
-                        nodes = list(bucket)
-                        fired = nodes if fired is None else fired + nodes
-                    if name[:1] != "@":
-                        if desc_wild:
-                            nodes = list(desc_wild)
-                            fired = nodes if fired is None else fired + nodes
-                    elif desc_attr_wild:
-                        nodes = list(desc_attr_wild)
-                        fired = nodes if fired is None else fired + nodes
+                        fired.extend(bucket)
                     if fired:
                         fan_out: Optional[Dict[_Runtime, List[int]]] = None
                         leaf_entries = None  # path-plan value tests opened here
+                        added = None
                         for node in fired:
-                            for runtime, slot in node.subs:
-                                if runtime.doc_gen != gen:
-                                    if runtime.plan.is_path:
-                                        runtime.doc_gen = gen
-                                        runtime.decided = False
-                                        runtime.outcome = False
+                            if node.subs:
+                                for runtime, slot in node.subs:
+                                    if runtime.doc_gen != gen:
+                                        if runtime.plan.is_path:
+                                            runtime.doc_gen = gen
+                                            runtime.decided = False
+                                            runtime.outcome = False
+                                        else:
+                                            fast_start(runtime)
+                                    elif runtime.decided:
+                                        continue
+                                    plan = runtime.plan
+                                    if plan.is_path:
+                                        # an exact candidate match of the whole chain
+                                        truth = plan.truth[slot]
+                                        if truth is None:
+                                            runtime.decided = True
+                                            runtime.outcome = True
+                                        elif leaf_entries is None:
+                                            leaf_entries = [(runtime, truth)]
+                                        else:
+                                            leaf_entries.append((runtime, truth))
+                                        continue
+                                    if fan_out is None:
+                                        fan_out = {runtime: [slot]}
+                                        continue
+                                    slots = fan_out.get(runtime)
+                                    if slots is None:
+                                        fan_out[runtime] = [slot]
                                     else:
-                                        fast_start(runtime)
-                                elif runtime.decided:
-                                    continue
-                                plan = runtime.plan
-                                if plan.is_path:
-                                    # an exact candidate match of the whole chain
-                                    truth = plan.truth[slot]
-                                    if truth is None:
-                                        runtime.decided = True
-                                        runtime.outcome = True
-                                    elif leaf_entries is None:
-                                        leaf_entries = [(runtime, truth)]
-                                    else:
-                                        leaf_entries.append((runtime, truth))
-                                    continue
-                                if fan_out is None:
-                                    fan_out = {runtime: [slot]}
-                                    continue
-                                slots = fan_out.get(runtime)
-                                if slots is None:
-                                    fan_out[runtime] = [slot]
-                                else:
-                                    slots.append(slot)
+                                        slots.append(slot)
+                            if node.desc_edges:
+                                if added is None:
+                                    added = []
+                                _open_scopes(node, desc_by_name, desc_wild,
+                                             desc_attr_wild, added)
                         if fan_out is not None:
                             for runtime, slots in fan_out.items():
                                 process_start(runtime, slots)
@@ -1520,11 +1517,15 @@ class CompiledFilterBank:
                                 contexts = val_contexts[level] = []
                             contexts.append((val_size, leaf_entries))
                             val_open += 1
-                        frames.append(build_frame(fired))
+                        frames.append(fired)
+                        scopes.append(added)
                     else:
                         frames.append(None)
+                        scopes.append(None)
                     level += 1
                 elif kind == TOK_END:
+                    if len(frames) == 1:
+                        raise ValueError(f"end tag </{token[1]}> with no open element")
                     post_level = level - 1
                     contexts = val_contexts.pop(post_level, None)
                     if contexts:
@@ -1554,15 +1555,11 @@ class CompiledFilterBank:
                             process_end(runtime, post_level)
                             if outcome_known(runtime):
                                 retire(runtime)
-                    if len(frames) > 1:
-                        frame = frames.pop()
-                        if frame is not None and frame[3] is not None:
-                            for bucket, node in frame[3]:
-                                count = bucket[node] - 1
-                                if count:
-                                    bucket[node] = count
-                                else:
-                                    del bucket[node]
+                    frames.pop()
+                    added = scopes.pop()
+                    if added is not None:
+                        for bucket, node in added:
+                            del bucket[node]
                     level = post_level
                 elif kind == TOK_TEXT:
                     if val_open:
@@ -1573,25 +1570,9 @@ class CompiledFilterBank:
                         for runtime in text_open:
                             runtime.buf_parts.append(token)
                             runtime.buf_size += length
-                elif kind == TOK_START_DOC:
-                    in_document = True
-                    level = 0
-                    self._generation += 1
-                    gen = self._generation
-                    del touched[:]
-                    text_open.clear()
-                    resolvers.clear()
-                    val_parts = []
-                    val_size = 0
-                    val_open = 0
-                    val_contexts.clear()
-                    desc_by_name.clear()
-                    desc_wild.clear()
-                    desc_attr_wild.clear()
-                    del frames[:]
-                    frames.append(build_frame([trie_root]))
-                    level = 1
                 elif kind == TOK_END_DOC:
+                    if len(frames) != 1:
+                        raise ValueError("endDocument event with elements still open")
                     post_level = level - 1
                     for runtime in touched:
                         if runtime.decided:
@@ -1600,18 +1581,20 @@ class CompiledFilterBank:
                         root_rec = runtime.root_rec
                         runtime.outcome = (root_rec[1] if root_rec is not None
                                            else False)
-                    level = post_level
-                    in_document = False
-                    saw_end = True
+                    break
+                elif kind == TOK_START_DOC:
+                    raise ValueError("a second startDocument event in one document")
                 else:  # pragma: no cover - defensive
                     raise TypeError(f"unknown token {token!r}")
-            if not saw_end or in_document:
+            else:
                 raise ValueError("event stream did not contain an endDocument event")
+            for _token in tokens:
+                raise ValueError("event stream continued after its endDocument event")
             completed = True
         finally:
             if not completed:
-                # never leave runtimes mid-document: a truncated stream must not
-                # corrupt the next filtering call
+                # never leave runtimes mid-document: a truncated or malformed stream
+                # must not corrupt the next filtering call
                 for runtime in touched:
                     runtime.reset()
                     runtime.doc_gen = 0
@@ -1622,16 +1605,3 @@ class CompiledFilterBank:
                    if runtime.doc_gen == gen and runtime.outcome]
         return BankResult(matched=matched, per_query_stats={})
 
-
-class MatchOnlyFilterBank(CompiledFilterBank):
-    """:class:`CompiledFilterBank` preconfigured for the match-only fast path.
-
-    ``filter_*`` calls report the same matched sets as the stats-accurate engines but
-    skip all :class:`~repro.core.filter.FilterStatistics` bookkeeping
-    (``per_query_stats`` is empty), track only the ``matched`` bits the Boolean
-    outcome depends on, and retire subscriptions mid-document once their outcome is
-    decided.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(stats=False)

@@ -147,7 +147,9 @@ class _IncrementalTokenizer:
         pos = 0  # start of the current (unflushed) character-data run
         scan = 0  # where to look for the next '<'
         find = buf.find
+        append = tokens.append
         match_at = _TOKEN_RE.match
+        non_ws = _NON_WS_RE.search
         while True:
             lt = find("<", scan)
             if lt < 0:
@@ -158,11 +160,21 @@ class _IncrementalTokenizer:
             if not final and n - lt < 4 and "<!--".startswith(buf[lt:]):
                 # "<", "<!", "<!-": cannot classify the construct yet
                 break
-            # hot path: a start or end tag, recognized by one compiled alternation
+            # hot path: a start or end tag, recognized by one compiled alternation;
+            # the pending text run is flushed inline (same rule as _flush_text)
             match = match_at(buf, lt)
             if match is not None:
-                self._flush_text(tokens, buf, pos, lt)
-                self._emit_tag(tokens, buf, match)
+                if pos < lt and non_ws(buf, pos, lt) is not None:
+                    append(_text_token(buf, pos, lt))
+                close, name, attrs, selfclose = match.groups()
+                if close is not None:
+                    append((TOK_END, close))
+                else:
+                    append((TOK_START, name))
+                    if attrs:
+                        self._emit_attrs(tokens, buf, match)
+                    if selfclose is not None:
+                        append((TOK_END, name))
                 pos = scan = match.end()
                 continue
             # cold path: comment / processing instruction / declaration / stray '<'
@@ -236,24 +248,16 @@ class _IncrementalTokenizer:
         tokens.append(_text_token(buf, start, end))
 
     @staticmethod
-    def _emit_tag(tokens: List[Token], buf: str, match: "re.Match[str]") -> None:
-        close = match.group("close")
-        if close is not None:
-            tokens.append((TOK_END, close))
-            return
-        name = match.group("name")
-        tokens.append((TOK_START, name))
+    def _emit_attrs(tokens: List[Token], buf: str, match: "re.Match[str]") -> None:
+        """Emit a start tag's attributes as ``@name`` element tokens (value as text)."""
         a_start, a_end = match.span("attrs")
-        if a_start < a_end:
-            for attr in _ATTR_RE.finditer(buf, a_start, a_end):
-                attr_name = "@" + attr.group("name")
-                tokens.append((TOK_START, attr_name))
-                v_start, v_end = attr.span("value")
-                if v_end > v_start:
-                    tokens.append(_text_token(buf, v_start, v_end))
-                tokens.append((TOK_END, attr_name))
-        if match.group("selfclose"):
-            tokens.append((TOK_END, name))
+        for attr in _ATTR_RE.finditer(buf, a_start, a_end):
+            attr_name = "@" + attr.group("name")
+            tokens.append((TOK_START, attr_name))
+            v_start, v_end = attr.span("value")
+            if v_end > v_start:
+                tokens.append(_text_token(buf, v_start, v_end))
+            tokens.append((TOK_END, attr_name))
 
 
 def _token_to_event(token: Token) -> Event:

@@ -2,8 +2,7 @@
 
 Three equivalences must hold against the statistics-accurate engines:
 
-* the **match-only fast path** (``CompiledFilterBank(stats=False)`` /
-  ``MatchOnlyFilterBank``) reports the same matched sets on arbitrary documents and
+* the **match-only fast path** (``CompiledFilterBank(stats=False)``) reports the same matched sets on arbitrary documents and
   query banks — including the path-plan tier that keeps no frontier records, the
   record-machinery tier for branching queries, and plan interning across duplicate
   registrations;
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core import (
     CompiledFilterBank,
     FilterBank,
-    MatchOnlyFilterBank,
     ShardedFilterBank,
 )
 from repro.workloads import (
@@ -74,7 +72,7 @@ class TestMatchOnlyEquivalence:
            seed=st.integers(min_value=0, max_value=2**32 - 1),
            count=st.integers(min_value=1, max_value=8))
     def test_matched_sets_agree_on_random_inputs(self, document, seed, count):
-        fast, stats, indexed = (MatchOnlyFilterBank(), CompiledFilterBank(),
+        fast, stats, indexed = (CompiledFilterBank(stats=False), CompiledFilterBank(),
                                 FilterBank())
         _register_random_queries(seed, count, (fast, stats, indexed))
         fast_result = fast.filter_document(document)
@@ -90,14 +88,14 @@ class TestMatchOnlyEquivalence:
     def test_filter_many_and_reuse_agree(self, document, seed, count):
         """Back-to-back documents through one fast bank (lazy per-document init must
         fully isolate documents) equal the stats engine's batch mode."""
-        fast, stats = MatchOnlyFilterBank(), CompiledFilterBank()
+        fast, stats = CompiledFilterBank(stats=False), CompiledFilterBank()
         _register_random_queries(seed, count, (fast, stats))
         fast_batch = fast.filter_many([document, document])
         stats_batch = stats.filter_many([document, document])
         assert [r.matched for r in fast_batch] == [r.matched for r in stats_batch]
 
     def test_shared_prefix_workload_matches(self):
-        fast, stats = MatchOnlyFilterBank(), CompiledFilterBank()
+        fast, stats = CompiledFilterBank(stats=False), CompiledFilterBank()
         subscriptions = shared_prefix_subscriptions(
             60, branching=2, suffix_depth=3, descendant_fraction=0.3,
             wildcard_fraction=0.2, seed=21)
@@ -113,7 +111,7 @@ class TestMatchOnlyEquivalence:
     def test_truncated_stream_raises_and_fast_bank_stays_usable(self):
         from repro.xmlstream.events import StartDocument, StartElement
 
-        bank = MatchOnlyFilterBank()
+        bank = CompiledFilterBank(stats=False)
         bank.register("q", parse_query("/a[b > 2]"))
         with pytest.raises(ValueError):
             bank.filter_events([StartDocument(), StartElement("a")])
@@ -248,7 +246,7 @@ class TestShardedBank:
     def test_sharded_random_banks_agree(self):
         rng_seeds = [3, 11, 42]
         for seed in rng_seeds:
-            reference = MatchOnlyFilterBank()
+            reference = CompiledFilterBank(stats=False)
             with ShardedFilterBank(2) as sharded:
                 _register_random_queries(seed, 10, (reference, sharded))
                 document = shared_prefix_feed(6, branching=2, suffix_depth=2, seed=seed)

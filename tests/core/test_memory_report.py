@@ -12,7 +12,7 @@ import os
 import signal
 import time
 
-from repro.core import CompiledFilterBank, MatchOnlyFilterBank, ShardedFilterBank
+from repro.core import CompiledFilterBank, ShardedFilterBank
 from repro.instrument import current_rss_bytes, peak_rss_bytes
 from repro.xpath.parser import parse_query
 
@@ -99,7 +99,7 @@ class TestPeakTracking:
         assert bank.memory_report().peak_document_bits > shallow
 
     def test_match_only_path_accounts_value_buffers(self):
-        bank = _bank(MatchOnlyFilterBank)
+        bank = _bank(stats=False)
         assert not bank.memory_report().stats_mode
         bank.filter_text(CATALOG)
         report = bank.memory_report()

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.core import MatchOnlyFilterBank, ShardedFilterBank
+from repro.core import CompiledFilterBank, ShardedFilterBank
 from repro.workloads import shared_prefix_feed, shared_prefix_subscriptions
 from repro.xpath import parse_query
 
@@ -59,7 +59,7 @@ class TestRespawn:
         document = shared_prefix_feed(6, seed=6)
         with ShardedFilterBank(2) as bank:
             _register(bank)
-            single = MatchOnlyFilterBank()
+            single = CompiledFilterBank(stats=False)
             _register(single)
             expected = single.filter_document(document).matched
 
@@ -117,7 +117,7 @@ class TestRespawn:
             assert bank.ensure_healthy() == [0]
             bank.register("late", parse_query("/catalog/product/s0"))
             bank.unregister("q0")  # owned by shard 0 (round-robin)
-            single = MatchOnlyFilterBank()
+            single = CompiledFilterBank(stats=False)
             for name in bank.subscriptions():
                 single.register(name, bank_query(bank, name))
             assert bank.filter_document(document).matched == \

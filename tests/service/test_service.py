@@ -19,7 +19,7 @@ from repro.service import (
     ServiceClosedError,
     SessionClosedError,
 )
-from repro.xmlstream.parse import XMLParseError
+from repro.xmlstream.parse import XMLParseError, document_tokens
 
 CATALOG = "<catalog><book><price>12</price></book></catalog>"
 
@@ -151,6 +151,24 @@ class TestPublishing:
                     await bad
                 assert (await good2).matched == ("c:q",)
                 assert service.metrics()["documents_failed"] == 1
+        run(scenario())
+
+    def test_malformed_token_list_is_rejected_and_service_keeps_serving(self):
+        # pre-tokenized publishes skip the parser; the kernel checks the envelope
+        good = document_tokens(CATALOG)
+        open_at_end = good[:3] + [good[-1]]  # <$><catalog><book></$>
+        two_documents = good + good
+
+        async def scenario():
+            async with PubSubService() as service:
+                session = await service.connect("c")
+                await session.subscribe("q", "/catalog/book")
+                for bad in (open_at_end, two_documents, good[1:]):
+                    with pytest.raises(ValueError):
+                        await service.publish(bad)
+                assert (await service.publish(list(good))).matched == ("c:q",)
+                assert (await service.publish(CATALOG)).matched == ("c:q",)
+                assert service.metrics()["documents_failed"] == 3
         run(scenario())
 
     def test_stats_mode_reports_per_query_statistics(self):

@@ -15,7 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CompiledFilterBank, MatchOnlyFilterBank, ShardedFilterBank
+from repro.core import CompiledFilterBank, ShardedFilterBank
 from repro.service import (
     PubSubService,
     dumps_bank,
@@ -98,8 +98,8 @@ class TestBankRoundTrip:
         with ShardedFilterBank(2) as original:
             original.register("q", parse_query("/a/b"))
             restored = restore_bank(snapshot_bank(original), kind="compiled")
-        assert isinstance(restored, MatchOnlyFilterBank) or \
-            isinstance(restored, CompiledFilterBank)
+        assert isinstance(restored, CompiledFilterBank)
+        assert not restored.stats_mode
         assert restored.subscriptions() == ["q"]
 
 
