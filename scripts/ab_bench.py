@@ -2,19 +2,23 @@
 """Paired A/B runs of the wire benchmark: a parent revision against a change.
 
     python3 scripts/ab_bench.py --parent HEAD~1 --workload fanin
-    python3 scripts/ab_bench.py --parent main --change HEAD --pairs 10 --seconds 30
+    python3 scripts/ab_bench.py --parent main --change HEAD --pairs 10
 
 The parent (and ``--change``, if given) is exported with ``git archive <rev> |
 tar -x`` into a temporary directory, which leaves the repository's ``.git``
 alone; without ``--change`` the change side is this checkout's working tree.
 Each pair runs ``perfbench/run.py`` once per side on a fresh seed (``--seed``
-plus the pair index), alternating which side goes first.  For every workload
+plus the pair index), alternating which side goes first; the run length is the
+benchmark's own default, so both sides run equally long.  For every workload
 and end-to-end metric the script prints both sides' median and quartiles, the
 share of pairs the change won (ties count for neither side) and whether the
 gain rule holds: the change wins at least nine tenths of the pairs *and* its
 median beats the parent's by more than the parent's interquartile range.  It
-also checks the no-regression rule: the change's median is no worse than the
-parent's by more than the metric's bound in ``BENCHMARK.json``.
+also checks the no-regression rule against the metric's bound in
+``BENCHMARK.json``: ``WORSE`` when the change's median is worse than the
+parent's by more than the bound; otherwise ``unresolved`` when either side's
+interquartile range exceeds the bound (relative to its median) and not every
+change run beats every parent run; otherwise ``ok``.
 
 The last stdout line is one JSON object with every run and the summary.  The
 exit code is 1 when any run reported ``correct: false`` or failed operations.
@@ -34,8 +38,8 @@ from typing import Callable, Dict, List, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: runner(tree, workload, seed, seconds) -> the benchmark's final JSON object
-Runner = Callable[[str, str, int, float], dict]
+#: runner(tree, workload, seed) -> the benchmark's final JSON object
+Runner = Callable[[str, str, int], dict]
 
 
 def export_revision(revision: str, dest: str, *, repo: str = ROOT) -> str:
@@ -56,11 +60,10 @@ def export_revision(revision: str, dest: str, *, repo: str = ROOT) -> str:
     return dest
 
 
-def run_perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(tree: str, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``; returns its last stdout JSON line."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
-               "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -86,6 +89,13 @@ def summarize(parent: List[float], change: List[float], *, better: str,
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     gain = sign * (c_med - p_med)
+    if -gain > bound * abs(p_med):
+        verdict = "WORSE"
+    elif ((p_q3 - p_q1 > bound * abs(p_med) or c_q3 - c_q1 > bound * abs(c_med))
+          and min(sign * c for c in change) <= max(sign * p for p in parent)):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     return {
         "parent": {"q1": p_q1, "median": p_med, "q3": p_q3},
         "change": {"q1": c_q1, "median": c_med, "q3": c_q3},
@@ -93,13 +103,12 @@ def summarize(parent: List[float], change: List[float], *, better: str,
         "won": wins,
         "won_share": wins / len(parent),
         "gain_rule_met": wins >= 0.9 * len(parent) and gain > p_q3 - p_q1,
-        # no worse than the parent's median by more than the relative bound
-        "within_bound": -gain <= bound * abs(p_med),
+        "bound_verdict": verdict,
     }
 
 
 def ab(parent_tree: str, change_tree: str, workloads: Sequence[str], *,
-       pairs: int, seconds: float, seed: int, metrics: Sequence[dict],
+       pairs: int, seed: int, metrics: Sequence[dict],
        runner: Runner = run_perfbench) -> dict:
     """Run ``pairs`` alternating pairs per workload and summarize every metric."""
     runs: List[dict] = []
@@ -111,7 +120,7 @@ def ab(parent_tree: str, change_tree: str, workloads: Sequence[str], *,
             if index % 2:
                 sides.reverse()
             for side, tree in sides:
-                result = runner(tree, workload, seed + index, seconds)
+                result = runner(tree, workload, seed + index)
                 runs.append({"workload": workload, "pair": index, "side": side,
                              "seed": seed + index, "correct": result["correct"],
                              "failed": result["failed"],
@@ -129,7 +138,7 @@ def ab(parent_tree: str, change_tree: str, workloads: Sequence[str], *,
 
 def _report(outcome: dict) -> str:
     lines = [f"{'workload':<14} {'metric':<18} {'parent q1/med/q3':>28} "
-             f"{'change q1/med/q3':>28} {'won':>6} {'gain':>5} {'bound':>5}"]
+             f"{'change q1/med/q3':>28} {'won':>6} {'gain':>5} {'bound':>10}"]
     for workload, per_metric in outcome["summary"].items():
         for name, row in per_metric.items():
             p, c = row["parent"], row["change"]
@@ -139,7 +148,7 @@ def _report(outcome: dict) -> str:
                 f"{c['q1']:>9.3f}/{c['median']:>9.3f}/{c['q3']:>8.3f} "
                 f"{row['won']:>3}/{row['pairs']:<2} "
                 f"{'yes' if row['gain_rule_met'] else 'no':>5} "
-                f"{'ok' if row['within_bound'] else 'WORSE':>5}")
+                f"{row['bound_verdict']:>10}")
     return "\n".join(lines)
 
 
@@ -151,7 +160,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         help="a BENCHMARK.json workload name, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1000,
                         help="seed of the first pair; pair i runs seed + i")
     args = parser.parse_args(argv)
@@ -166,8 +174,7 @@ def main(argv=None) -> int:
         change_tree = (ROOT if args.change is None else
                        export_revision(args.change, os.path.join(workdir, "change")))
         outcome = ab(parent_tree, change_tree, workloads, pairs=args.pairs,
-                     seconds=args.seconds, seed=args.seed,
-                     metrics=benchmark["end_to_end"])
+                     seed=args.seed, metrics=benchmark["end_to_end"])
     print(_report(outcome), file=sys.stderr)
     print(json.dumps(outcome))
     healthy = all(run["correct"] and not run["failed"] for run in outcome["runs"])

@@ -4,8 +4,9 @@ The real runner starts the wire benchmark (30 s a run), so these tests replace i
 with a function that returns scripted metric values and records its calls.  They
 check the protocol itself: sides alternate which goes first, both sides of a pair
 share a fresh seed, quartiles and wins are computed per metric in the metric's
-direction, and the gain rule needs both nine tenths of the pairs and a median gap
-wider than the parent's interquartile range.
+direction, the gain rule needs both nine tenths of the pairs and a median gap
+wider than the parent's interquartile range, and a spread wider than the bound
+leaves the no-regression check unresolved.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def _runner(script):
     """A runner returning ``script[(side tree, pair seed)]`` and logging its calls."""
     calls = []
 
-    def run(tree, workload, seed, seconds):
-        calls.append((tree, workload, seed, seconds))
+    def run(tree, workload, seed):
+        calls.append((tree, workload, seed))
         throughput, cpu = script[(tree, seed)]
         return {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": {"throughput_docs_s": {"value": throughput, "unit": "docs/s"},
@@ -52,25 +53,24 @@ def _script(parent, change, seed=100):
 def test_sides_alternate_and_share_a_fresh_seed_per_pair():
     values = [(100.0, 50.0)] * 4
     run, calls = _runner(_script(values, values))
-    ab_bench.ab("P", "C", ["fanin"], pairs=4, seconds=2.0, seed=100,
-                metrics=METRICS, runner=run)
-    assert [(tree, seed) for tree, _w, seed, _s in calls] == [
+    ab_bench.ab("P", "C", ["fanin"], pairs=4, seed=100, metrics=METRICS, runner=run)
+    assert [(tree, seed) for tree, _w, seed in calls] == [
         ("P", 100), ("C", 100), ("C", 101), ("P", 101),
         ("P", 102), ("C", 102), ("C", 103), ("P", 103)]
-    assert {(workload, seconds) for _t, workload, _s, seconds in calls} == {("fanin", 2.0)}
+    assert {workload for _t, workload, _s in calls} == {"fanin"}
 
 
 def test_clear_gain_meets_the_rule_in_each_metric_direction():
     parent = [(100.0 + i, 50.0 - 0.1 * i) for i in range(10)]
     change = [(130.0 + i, 40.0 - 0.1 * i) for i in range(10)]
     run, _calls = _runner(_script(parent, change))
-    outcome = ab_bench.ab("P", "C", ["fanin"], pairs=10, seconds=1.0, seed=100,
+    outcome = ab_bench.ab("P", "C", ["fanin"], pairs=10, seed=100,
                           metrics=METRICS, runner=run)
     rows = outcome["summary"]["fanin"]
     for name in ("throughput_docs_s", "cpu_us_per_doc"):
         assert rows[name]["won"] == 10
         assert rows[name]["gain_rule_met"]
-        assert rows[name]["within_bound"]
+        assert rows[name]["bound_verdict"] == "ok"
     assert rows["throughput_docs_s"]["parent"]["median"] == pytest.approx(104.5)
     assert rows["throughput_docs_s"]["change"]["median"] == pytest.approx(134.5)
     assert len(outcome["runs"]) == 20
@@ -80,7 +80,7 @@ def test_eight_wins_in_ten_is_not_a_gain():
     parent = [(100.0, 50.0)] * 10
     change = [(120.0, 50.0)] * 8 + [(90.0, 50.0)] * 2
     run, _calls = _runner(_script(parent, change))
-    row = ab_bench.ab("P", "C", ["fanin"], pairs=10, seconds=1.0, seed=100,
+    row = ab_bench.ab("P", "C", ["fanin"], pairs=10, seed=100,
                       metrics=METRICS, runner=run)["summary"]["fanin"]
     assert row["throughput_docs_s"]["won"] == 8
     assert not row["throughput_docs_s"]["gain_rule_met"]
@@ -92,7 +92,7 @@ def test_median_gap_inside_the_parent_spread_is_not_a_gain():
     parent = [(100.0 + 10 * (i % 4), 50.0) for i in range(10)]  # IQR of 20
     change = [(value + 5.0, cpu) for value, cpu in parent]  # always 5 better
     run, _calls = _runner(_script(parent, change))
-    row = ab_bench.ab("P", "C", ["fanin"], pairs=10, seconds=1.0, seed=100,
+    row = ab_bench.ab("P", "C", ["fanin"], pairs=10, seed=100,
                       metrics=METRICS, runner=run)["summary"]["fanin"]
     assert row["throughput_docs_s"]["won"] == 10
     assert not row["throughput_docs_s"]["gain_rule_met"]
@@ -102,10 +102,28 @@ def test_a_regression_beyond_the_bound_is_flagged():
     parent = [(100.0, 50.0)] * 3
     change = [(70.0, 70.0)] * 3  # 30% slower, 40% more CPU
     run, _calls = _runner(_script(parent, change))
-    row = ab_bench.ab("P", "C", ["fanin"], pairs=3, seconds=1.0, seed=100,
+    row = ab_bench.ab("P", "C", ["fanin"], pairs=3, seed=100,
                       metrics=METRICS, runner=run)["summary"]["fanin"]
-    assert not row["throughput_docs_s"]["within_bound"]
-    assert not row["cpu_us_per_doc"]["within_bound"]
+    assert row["throughput_docs_s"]["bound_verdict"] == "WORSE"
+    assert row["cpu_us_per_doc"]["bound_verdict"] == "WORSE"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # throughput: the change's median is higher, but the parent's IQR is 44% of
+    # its median and the two sides' runs overlap
+    # cpu: a spread as wide, yet every change run beats every parent run
+    parent = [(60.0 + 20 * (i % 4), 100.0 + 20 * (i % 4)) for i in range(10)]
+    change = [(70.0 + 20 * ((i + 2) % 4), 10.0 + 20 * (i % 4)) for i in range(10)]
+    run, _calls = _runner(_script(parent, change))
+    row = ab_bench.ab("P", "C", ["fanin"], pairs=10, seed=100,
+                      metrics=METRICS, runner=run)["summary"]["fanin"]
+    assert row["throughput_docs_s"]["bound_verdict"] == "unresolved"
+    assert row["cpu_us_per_doc"]["bound_verdict"] == "ok"
+    # the same spread inside a wider bound is resolved
+    wide = [{**metric, "bound": 0.6} for metric in METRICS]
+    row = ab_bench.ab("P", "C", ["fanin"], pairs=10, seed=100,
+                      metrics=wide, runner=run)["summary"]["fanin"]
+    assert row["throughput_docs_s"]["bound_verdict"] == "ok"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
